@@ -83,7 +83,7 @@ DoublingSpannerResult build_doubling_spanner(
     HopsetResult hr = build_hopset(g, beta, ctx.seed ^ 0x48ULL);
     result.ledger.add("hopset-build", hr.cost);
     hopset = std::move(hr.hopset);
-    hop_diameter = g.hop_diameter();
+    hop_diameter = hr.hop_diameter;
   }
 
   // Concurrent scales fuse consecutive explorations into shared scheduler

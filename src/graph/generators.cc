@@ -106,24 +106,79 @@ GeometricGraph random_geometric(int n, double radius, std::uint64_t seed) {
     out.x[static_cast<size_t>(i)] = rng.next_double();
     out.y[static_cast<size_t>(i)] = rng.next_double();
   }
-  std::map<std::uint64_t, Edge> edges;
+
+  // Bucket the points into k x k cells of side 1/k >= radius (the 1e-9
+  // margin absorbs rounding in the cell index), so every pair within the
+  // radius lies in the same or adjacent cells. k <= ceil(sqrt(n)) keeps the
+  // cell table O(n) for tiny radii.
+  const int k = static_cast<int>(std::clamp(
+      std::floor((1.0 - 1e-9) / radius), 1.0,
+      std::ceil(std::sqrt(static_cast<double>(n)))));
+  const auto cell_of = [k](double c) {
+    return std::min(k - 1, static_cast<int>(c * k));
+  };
+  std::vector<int> cell(static_cast<size_t>(n));
+  std::vector<int> cell_start(static_cast<size_t>(k) * k + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    cell[static_cast<size_t>(v)] = cell_of(out.y[static_cast<size_t>(v)]) * k +
+                                   cell_of(out.x[static_cast<size_t>(v)]);
+    ++cell_start[static_cast<size_t>(cell[static_cast<size_t>(v)]) + 1];
+  }
+  for (size_t c = 1; c < cell_start.size(); ++c)
+    cell_start[c] += cell_start[c - 1];
+  std::vector<VertexId> cell_points(static_cast<size_t>(n));
+  {
+    std::vector<int> fill(cell_start.begin(), cell_start.end() - 1);
+    for (VertexId v = 0; v < n; ++v)
+      cell_points[static_cast<size_t>(
+          fill[static_cast<size_t>(cell[static_cast<size_t>(v)])]++)] = v;
+  }
+
+  std::vector<std::pair<std::uint64_t, Edge>> radius_edges;
+  UnionFind components(n);
+  bool coincident = false;
   for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = u + 1; v < n; ++v) {
-      const double d =
-          euclid(out.x[static_cast<size_t>(u)], out.y[static_cast<size_t>(u)],
-                 out.x[static_cast<size_t>(v)], out.y[static_cast<size_t>(v)]);
-      if (d <= radius && d > 0.0) edges[pair_key(u, v)] = {u, v, d};
+    const int cx = cell[static_cast<size_t>(u)] % k;
+    const int cy = cell[static_cast<size_t>(u)] / k;
+    for (int y = std::max(0, cy - 1); y <= std::min(k - 1, cy + 1); ++y) {
+      for (int x = std::max(0, cx - 1); x <= std::min(k - 1, cx + 1); ++x) {
+        const size_t c = static_cast<size_t>(y) * k + x;
+        for (int i = cell_start[c]; i < cell_start[c + 1]; ++i) {
+          const VertexId v = cell_points[static_cast<size_t>(i)];
+          if (v <= u) continue;
+          const double d = euclid(
+              out.x[static_cast<size_t>(u)], out.y[static_cast<size_t>(u)],
+              out.x[static_cast<size_t>(v)], out.y[static_cast<size_t>(v)]);
+          if (d <= radius && d > 0.0) {
+            radius_edges.push_back({pair_key(u, v), Edge{u, v, d}});
+            components.unite(u, v);
+          } else if (d == 0.0) {
+            coincident = true;
+          }
+        }
+      }
     }
   }
-  for (auto [u, v] : euclidean_mst(out.x, out.y)) {
-    const double d =
-        euclid(out.x[static_cast<size_t>(u)], out.y[static_cast<size_t>(u)],
-               out.x[static_cast<size_t>(v)], out.y[static_cast<size_t>(v)]);
-    edges.try_emplace(pair_key(u, v), Edge{u, v, std::max(d, 1e-9)});
-  }
+  std::sort(radius_edges.begin(), radius_edges.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
   std::vector<Edge> edge_list;
-  edge_list.reserve(edges.size());
-  for (auto& [key, e] : edges) edge_list.push_back(e);
+  edge_list.reserve(radius_edges.size());
+  if (components.num_components() == 1 && !coincident) {
+    // Every Euclidean-MST edge is already a radius edge: a cut crossed by a
+    // radius edge is never crossed by Prim with a longer one.
+    for (auto& [key, e] : radius_edges) edge_list.push_back(e);
+  } else {
+    std::map<std::uint64_t, Edge> edges(radius_edges.begin(),
+                                        radius_edges.end());
+    for (auto [u, v] : euclidean_mst(out.x, out.y)) {
+      const double d = euclid(
+          out.x[static_cast<size_t>(u)], out.y[static_cast<size_t>(u)],
+          out.x[static_cast<size_t>(v)], out.y[static_cast<size_t>(v)]);
+      edges.try_emplace(pair_key(u, v), Edge{u, v, std::max(d, 1e-9)});
+    }
+    for (auto& [key, e] : edges) edge_list.push_back(e);
+  }
   out.graph = WeightedGraph::from_edges(n, std::move(edge_list));
   return out;
 }

@@ -35,7 +35,10 @@ struct GeometricGraph {
 // Random geometric graph: n points in the unit square, edges between points
 // within `radius` (Euclidean weights). If the radius graph is disconnected,
 // the Euclidean MST edges are added, so the result is always connected and
-// remains a doubling (ddim ~= 2) metric.
+// remains a doubling (ddim ~= 2) metric. Radius pairs are found by grid
+// bucketing in expected O(n + m); the O(n^2) Prim MST runs only when the
+// radius graph is disconnected or two points coincide (otherwise every MST
+// edge is already a radius edge).
 GeometricGraph random_geometric(int n, double radius, std::uint64_t seed);
 
 // G(n, p) with weights from `law`; a uniformly random spanning tree is

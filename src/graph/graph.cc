@@ -81,27 +81,98 @@ bool WeightedGraph::is_connected() const {
   return count == num_vertices_;
 }
 
+// Exact all-sources eccentricity maximum by bit-parallel BFS: each sweep runs
+// up to 64 sources at once, source i owning bit i of per-vertex `seen`,
+// `frontier` and `next` words, and push-expands only the vertices whose
+// frontier word is nonzero. A vertex is active once per distinct distance
+// from the batch's sources, so batches are compact (the 64 untaken vertices
+// nearest a seed, seeds in BFS order from vertex 0): on long-diameter inputs
+// that keeps each vertex's distances to a batch within a narrow band.
 int WeightedGraph::hop_diameter() const {
-  LN_REQUIRE(is_connected(), "hop_diameter requires a connected graph");
-  // Double-sweep gives a lower bound; for exactness run BFS from every
-  // vertex. Graphs in this library are small enough (simulation scale).
+  const size_t n = static_cast<size_t>(num_vertices_);
+  if (n == 0) return 0;
+
+  // BFS from vertex 0: seed order, and the connectivity proof.
+  std::vector<VertexId> order{0};
+  order.reserve(n);
+  std::vector<char> reached(n, 0);
+  reached[0] = 1;
+  for (size_t head = 0; head < order.size(); ++head)
+    for (const Incidence& inc : incident(order[head]))
+      if (!reached[static_cast<size_t>(inc.neighbor)]) {
+        reached[static_cast<size_t>(inc.neighbor)] = 1;
+        order.push_back(inc.neighbor);
+      }
+  LN_REQUIRE(order.size() == n, "hop_diameter requires a connected graph");
+
+  std::vector<char> taken(n, 0);
+  std::vector<std::uint32_t> stamp(n, 0);  // batch that last visited v
+  std::vector<std::uint64_t> seen(n), frontier(n, 0), next(n, 0);
+  std::vector<VertexId> batch, queue;
+  batch.reserve(64);
+  queue.reserve(n);
+  // Level lists hold each vertex at most once; the extra slot takes the
+  // branch-free speculative store below.
+  std::vector<VertexId> active(n + 1), next_active(n + 1);
   int diameter = 0;
-  std::vector<int> dist(static_cast<size_t>(num_vertices_));
-  for (VertexId s = 0; s < num_vertices_; ++s) {
-    std::fill(dist.begin(), dist.end(), -1);
-    std::deque<VertexId> queue{s};
-    dist[static_cast<size_t>(s)] = 0;
-    while (!queue.empty()) {
-      VertexId v = queue.front();
-      queue.pop_front();
-      diameter = std::max(diameter, dist[static_cast<size_t>(v)]);
-      for (const Incidence& inc : incident(v)) {
-        if (dist[static_cast<size_t>(inc.neighbor)] < 0) {
-          dist[static_cast<size_t>(inc.neighbor)] =
-              dist[static_cast<size_t>(v)] + 1;
+  std::uint32_t batch_id = 0;
+  size_t cursor = 0;
+  while (true) {
+    while (cursor < n && taken[static_cast<size_t>(order[cursor])]) ++cursor;
+    if (cursor == n) break;
+
+    // The 64 untaken vertices nearest the seed (BFS through taken ones).
+    ++batch_id;
+    batch.clear();
+    queue.assign(1, order[cursor]);
+    stamp[static_cast<size_t>(order[cursor])] = batch_id;
+    for (size_t head = 0; head < queue.size() && batch.size() < 64; ++head) {
+      const VertexId v = queue[head];
+      if (!taken[static_cast<size_t>(v)]) {
+        taken[static_cast<size_t>(v)] = 1;
+        batch.push_back(v);
+      }
+      for (const Incidence& inc : incident(v))
+        if (stamp[static_cast<size_t>(inc.neighbor)] != batch_id) {
+          stamp[static_cast<size_t>(inc.neighbor)] = batch_id;
           queue.push_back(inc.neighbor);
         }
+    }
+
+    std::fill(seen.begin(), seen.end(), 0);
+    size_t num_active = batch.size();
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const size_t s = static_cast<size_t>(batch[i]);
+      seen[s] = frontier[s] = std::uint64_t{1} << i;
+      active[i] = batch[i];
+    }
+    // Level `level` holds the vertices at distance `level` from some source;
+    // the last nonempty one is the batch's largest eccentricity.
+    for (int level = 1;; ++level) {
+      size_t num_next = 0;
+      for (size_t a = 0; a < num_active; ++a) {
+        const std::uint64_t bits = frontier[static_cast<size_t>(active[a])];
+        for (const Incidence& inc : incident(active[a])) {
+          // Branch-free: whether a neighbour gains bits is unpredictable.
+          const size_t w = static_cast<size_t>(inc.neighbor);
+          const std::uint64_t fresh = bits & ~seen[w];
+          next_active[num_next] = inc.neighbor;
+          num_next += (fresh != 0) & (next[w] == 0);
+          next[w] |= fresh;
+        }
       }
+      for (size_t a = 0; a < num_active; ++a)
+        frontier[static_cast<size_t>(active[a])] = 0;
+      if (num_next == 0) break;
+      diameter = std::max(diameter, level);
+      for (size_t a = 0; a < num_next; ++a) {
+        const size_t w = static_cast<size_t>(next_active[a]);
+        seen[w] |= next[w];
+        frontier[w] = next[w];
+        next[w] = 0;
+      }
+      active.swap(next_active);
+      num_active = num_next;
     }
   }
   return diameter;

@@ -71,7 +71,11 @@ class WeightedGraph {
 
   Weight total_weight() const;
   bool is_connected() const;
-  int hop_diameter() const;  // diameter ignoring weights; requires connected
+  // Exact diameter ignoring weights; throws on a disconnected graph. Costs
+  // ceil(n/64) bit-parallel BFS batches; a batch scans the adjacency of each
+  // active (vertex, level), and a vertex is active once per distinct
+  // distance from the batch's ≤ 64 sources, so at most min(64, D+1) times.
+  int hop_diameter() const;
 
   // Graph on the same vertex set containing only `edge_ids`.
   WeightedGraph edge_subgraph(std::span<const EdgeId> edge_ids) const;

@@ -101,8 +101,9 @@ HopsetResult build_hopset(const WeightedGraph& g, int hop_limit,
   // hopset of this hopbound (the simulation computes the same object).
   const std::uint64_t sqrt_n =
       static_cast<std::uint64_t>(std::ceil(std::sqrt(std::max(1, n))));
+  result.hop_diameter = g.hop_diameter();
   congest::CostStats c;
-  c.rounds = (sqrt_n + static_cast<std::uint64_t>(g.hop_diameter())) *
+  c.rounds = (sqrt_n + static_cast<std::uint64_t>(result.hop_diameter)) *
              static_cast<std::uint64_t>(hop_limit);
   c.messages = static_cast<std::uint64_t>(g.num_edges()) *
                static_cast<std::uint64_t>(hop_limit);

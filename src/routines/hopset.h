@@ -41,6 +41,7 @@ struct Hopset {
 struct HopsetResult {
   Hopset hopset;
   congest::CostStats cost;      // charged per [EN16]
+  int hop_diameter = 0;         // D of g, as used in the charge
 };
 
 HopsetResult build_hopset(const WeightedGraph& g, int hop_limit,

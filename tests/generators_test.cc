@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "graph/metrics.h"
 #include "tests/test_util.h"
@@ -32,6 +34,57 @@ TEST(Generators, GeometricIsDeterministicPerSeed) {
     EXPECT_EQ(a.graph.edge(i).u, b.graph.edge(i).u);
     EXPECT_EQ(a.graph.edge(i).v, b.graph.edge(i).v);
     EXPECT_DOUBLE_EQ(a.graph.edge(i).w, b.graph.edge(i).w);
+  }
+}
+
+// FNV-1a 64 over every edge's (u, v, bit pattern of w), in edge-id order.
+std::uint64_t edge_list_digest(const WeightedGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Edge& e : g.edges()) {
+    std::uint64_t w_bits;
+    std::memcpy(&w_bits, &e.w, sizeof w_bits);
+    mix(static_cast<std::uint64_t>(e.u));
+    mix(static_cast<std::uint64_t>(e.v));
+    mix(w_bits);
+  }
+  return h;
+}
+
+// Pinned edge lists (ids, endpoint order and weight bits) of the geometric
+// generator, so a faster pair search cannot change any scenario's graph.
+TEST(Generators, GeometricEdgeListsArePinned) {
+  struct Case {
+    int n;
+    double radius;
+    std::uint64_t seed;
+    bool needs_mst;  // radius graph alone disconnected: Prim fallback
+    int edges;
+    std::uint64_t digest;
+  };
+  // The scenario layer's automatic radius, sqrt(10 / n).
+  const double auto100 = std::sqrt(10.0 / 100);
+  const double auto1024 = std::sqrt(10.0 / 1024);
+  const Case cases[] = {
+      {100, auto100, 1, false, 1148, 0x0e84f37f8b19ee47ULL},
+      {100, auto100, 2, false, 1192, 0x927e4d636ff0f2abULL},
+      {1024, auto1024, 1, false, 15054, 0xe102a7ac47035e9eULL},
+      {1024, auto1024, 2, false, 14679, 0x3576422925237c46ULL},
+      {200, 0.02, 3, true, 199, 0xdb40f7ee90604bc4ULL},
+      {200, 0.05, 3, true, 229, 0x5ae4af4af17e39d5ULL},
+  };
+  for (const Case& c : cases) {
+    const GeometricGraph geo = random_geometric(c.n, c.radius, c.seed);
+    EXPECT_EQ(geo.graph.num_edges(), c.edges) << "n=" << c.n;
+    EXPECT_EQ(edge_list_digest(geo.graph), c.digest) << "n=" << c.n;
+    // Only Euclidean-MST edges may be longer than the radius.
+    EXPECT_EQ(geo.graph.max_edge_weight() > c.radius, c.needs_mst)
+        << "n=" << c.n;
   }
 }
 

@@ -89,6 +89,9 @@ TEST(Hopset, CostChargedPerEn16Shape) {
   const HopsetResult hr = build_hopset(g, 8, 12);
   EXPECT_GT(hr.cost.rounds, 0u);
   EXPECT_EQ(hr.cost.max_edge_load, 1u);
+  // The charge's D is reported for reuse: (ceil(sqrt n) + D) * beta rounds.
+  EXPECT_EQ(hr.hop_diameter, 14);
+  EXPECT_EQ(hr.cost.rounds, (8u + 14u) * 8u);
 }
 
 }  // namespace
