@@ -9,7 +9,10 @@
 namespace lightnet {
 
 // Scans vertices in id order; v joins the net iff no current net point is
-// within distance `beta`. Produces a (beta, beta)-net.
+// within distance `beta`. Produces a (beta, beta)-net. Each vertex costs one
+// Dijkstra from v, pruned at beta, that stops at the first net point it
+// reaches, over search state allocated once per call; its sums are the
+// plain bounded Dijkstra's, so a distance of exactly beta still blocks.
 std::vector<VertexId> greedy_net(const WeightedGraph& g, double beta);
 
 }  // namespace lightnet
