@@ -66,7 +66,7 @@ KrySltResult kry_slt(const WeightedGraph& g, VertexId rt, double alpha) {
       const std::vector<EdgeId> path = spt.path_edges_to(v);
       h_edges.insert(h_edges.end(), path.begin(), path.end());
     }
-  h_edges = dedupe_edge_ids(std::move(h_edges));
+  h_edges = dedupe_edge_ids(h_edges, g.num_edges());
 
   const WeightedGraph h = g.edge_subgraph(h_edges);
   const ShortestPathTree final_spt = dijkstra(h, rt);

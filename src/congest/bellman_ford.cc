@@ -46,8 +46,7 @@ class BellmanFordProgram final : public NodeProgram {
           kTagDist,
           {static_cast<std::uint64_t>(out_.owner[static_cast<size_t>(self_)]),
            Message::encode_weight(out_.dist[static_cast<size_t>(self_)])});
-      const int degree = static_cast<int>(ctx.links().size());
-      for (int i = 0; i < degree; ++i) ctx.send_on_link(i, msg);
+      ctx.broadcast(msg);
     }
     dirty_ = false;
   }

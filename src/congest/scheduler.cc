@@ -41,6 +41,10 @@ void NodeContext::send_words_on_link(int link_index, std::uint32_t tag,
                             channel, words);
 }
 
+void NodeContext::broadcast(const Message& msg) {
+  scheduler_->broadcast(lane_, self_, link_base_, links_, msg);
+}
+
 void NodeContext::broadcast_words(std::uint32_t tag,
                                   std::span<const std::uint64_t> words,
                                   std::uint8_t channel) {
@@ -80,6 +84,7 @@ Scheduler::Scheduler(const Network& network,
   inbox_start_.assign(n, 0);
   inbox_len_.assign(n, 0);
   recv_count_.assign(n, 0);
+  flood_load_.assign(n, 0);
   has_mail_.assign(n, 0);
   frontier_.reset(static_cast<int>(n));
   active_.reset(static_cast<int>(n));
@@ -214,10 +219,7 @@ void Scheduler::enqueue_resolved(int lane, VertexId from, VertexId to,
   // the per-round edge budget (1 for every standard message, so the strict
   // check and max_edge_load are unchanged for non-batched programs).
   const int total = msg.total_words();
-  const std::uint32_t units =
-      total <= kMaxWords
-          ? 1u
-          : static_cast<std::uint32_t>((total + kMaxWords - 1) / kMaxWords);
+  const std::uint32_t units = congestion_units(total);
   edge_load_[dir_slot] += units;
   if (options_.strict_congest) {
     LN_ASSERT_MSG(edge_load_[dir_slot] <= 1,
@@ -316,18 +318,75 @@ void Scheduler::broadcast_words(int lane, VertexId from, int link_base,
   for (size_t off = 0; off == 0 || off < words.size();
        off += kBatchChunkWords) {
     const size_t len = std::min(words.size() - off, kBatchChunkWords);
-    const Message msg =
-        stage_batched_message(lane, tag, channel, words.subspan(off, len));
-    for (size_t i = 0; i < links.size(); ++i) {
-      const Incidence& inc = links[i];
-      const std::uint32_t slot =
-          network_->dir_slot(link_base + static_cast<int>(i));
-      enqueue_resolved(lane, from, inc.neighbor, inc.edge, slot, msg);
-    }
+    broadcast(lane, from, link_base, links,
+              stage_batched_message(lane, tag, channel,
+                                    words.subspan(off, len)));
   }
 }
 
+void Scheduler::broadcast(int lane, VertexId from, int link_base,
+                          std::span<const Incidence> links,
+                          const Message& msg) {
+  if (links.empty()) return;
+  if (!lanes_.empty() || fault_ || transport_ || !edge_load_ch_.empty()) {
+    // Lanes, fault filters, the transport and channel windows all work per
+    // message, so these runs expand the flood at staging.
+    for (size_t i = 0; i < links.size(); ++i)
+      enqueue_resolved(lane, from, links[i].neighbor, links[i].edge,
+                       network_->dir_slot(link_base + static_cast<int>(i)),
+                       msg);
+    return;
+  }
+  LN_ASSERT_MSG(msg.size <= kMaxWords, "message exceeds word budget");
+  const int total = msg.total_words();
+  // Congestion (strict check included) is settled in fold_flood_loads.
+  std::uint32_t& load = flood_load_[static_cast<size_t>(from)];
+  if (load == 0) flooders_.push_back(from);
+  load += congestion_units(total);
+  for (const Incidence& inc : links) {
+    const size_t ti = static_cast<size_t>(inc.neighbor);
+    if (!stage_skiplist_ && !has_mail_[ti]) {
+      has_mail_[ti] = 1;
+      mail_nodes_.push_back(inc.neighbor);
+    }
+    ++recv_count_[ti];
+  }
+  if (stage_.size() == stage_.capacity()) ++stats_.inbox_reallocs;
+  stage_.push_back({kNoVertex, {from, kNoEdge, msg}});
+  const std::uint64_t degree = links.size();
+  in_flight_ += degree;
+  stats_.messages += degree;
+  stats_.words += degree * static_cast<std::uint64_t>(total);
+}
+
+void Scheduler::fold_flood_loads() {
+  // A directed slot's load is its own sends plus every flood of its sender
+  // (slot 2e carries edge(e).u's messages, slot 2e+1 edge(e).v's). Slots
+  // without individual sends carry their sender's flood load alone.
+  std::uint64_t load = 0;
+  for (VertexId v : flooders_)
+    load = std::max<std::uint64_t>(load, flood_load_[static_cast<size_t>(v)]);
+  const WeightedGraph& g = network_->graph();
+  for (EdgeId e : touched_edges_) {
+    const size_t base = static_cast<size_t>(e) * 2;
+    const Edge& ends = g.edge(e);
+    load = std::max<std::uint64_t>(
+        {load, edge_load_[base] + flood_load_[static_cast<size_t>(ends.u)],
+         edge_load_[base + 1] + flood_load_[static_cast<size_t>(ends.v)]});
+  }
+  // Checked here rather than at the send, so plain sends never read
+  // flood_load_; the run still aborts before its next round starts.
+  if (options_.strict_congest) {
+    LN_ASSERT_MSG(load <= 1,
+                  "CONGEST violation: >1 message on an edge in one round");
+  }
+  stats_.max_edge_load = std::max(stats_.max_edge_load, load);
+  for (VertexId v : flooders_) flood_load_[static_cast<size_t>(v)] = 0;
+  flooders_.clear();
+}
+
 void Scheduler::flush_edge_loads() {
+  if (!flooders_.empty()) fold_flood_loads();
   const size_t stride = edge_load_.size();
   // Hoisted so single-channel runs pay one check, not one per touched edge
   // (the stores into edge_load_ below would otherwise force a reload of the
@@ -381,10 +440,14 @@ void Scheduler::deliver_stage(int round) {
   for (VertexId v : current_mail_) has_mail_[static_cast<size_t>(v)] = 0;
 
   // Every staged message leaves flight now, whether or not the adversary
-  // lets it reach its inbox.
-  in_flight_ -= deliver_buf_.size();
-  if (fault_) apply_faults(round);
-  const size_t delivered = deliver_buf_.size();
+  // lets it reach its inbox. Serial in_flight_ counts exactly last round's
+  // staged messages (a flood record stands for deg(v) of them).
+  size_t delivered = static_cast<size_t>(in_flight_);
+  in_flight_ = 0;
+  if (fault_) {
+    apply_faults(round);
+    delivered = deliver_buf_.size();
+  }
 
   const size_t old_capacity = arena_.capacity();
   arena_.resize(delivered);
@@ -426,8 +489,22 @@ void Scheduler::deliver_stage(int round) {
     }
   }
   for (const Pending& p : deliver_buf_) {
-    const size_t ti = static_cast<size_t>(p.to);
-    arena_[inbox_start_[ti] + recv_count_[ti]++] = p.delivery;
+    if (p.to != kNoVertex) {
+      const size_t ti = static_cast<size_t>(p.to);
+      arena_[inbox_start_[ti] + recv_count_[ti]++] = p.delivery;
+      continue;
+    }
+    // Flood record: expand over the sender's links in link order, writing
+    // the Deliveries a send_on_link loop would have staged at the same
+    // stable positions.
+    const VertexId from = p.delivery.from;
+    for (const Incidence& inc : network_->links(from)) {
+      const size_t ti = static_cast<size_t>(inc.neighbor);
+      Delivery& d = arena_[inbox_start_[ti] + recv_count_[ti]++];
+      d.from = from;
+      d.edge = inc.edge;
+      d.msg = p.delivery.msg;
+    }
   }
   for (VertexId v : current_mail_) recv_count_[static_cast<size_t>(v)] = 0;
 

@@ -27,6 +27,16 @@
 //    senders' recipient list (sparse rounds) and scanning the receiver
 //    range directly (dense rounds) — the top-down/bottom-up direction
 //    switch of the hybrid-BFS literature, applied to inbox assembly.
+//  - Flood records: NodeContext::broadcast stages ONE record for a message
+//    on every link of the sender instead of deg(v) Pending entries; only
+//    the recipients' counters and the mail list are touched per link. The
+//    delivery scatter expands the record over the sender's CSR links in
+//    link order, writing exactly the Deliveries (same order, same stable
+//    positions) a send_on_link loop would have, so inboxes and every cost
+//    are identical. Congestion stays exact: a per-sender flood count
+//    charges all of the sender's directed slots at once and is folded into
+//    max_edge_load with the per-slot loads of individual sends (see
+//    NodeContext::broadcast for the strict-mode checks and fallbacks).
 //  - Parallel rounds (SchedulerOptions::threads > 1): node programs within
 //    a round are independent by construction, so the active set is sharded
 //    across a persistent worker pool. Each worker stages outgoing messages
@@ -124,10 +134,25 @@ class NodeContext {
   // needs no changes: the payload arrives unwrapped with its original tag.
   void reliable_send_on_link(int link_index, const Message& msg);
 
+  // Queues `msg` on EVERY link, in link order: the same messages, costs
+  // and inbox order as calling send_on_link(i, msg) for each i, at the
+  // staging cost of one record (see "Flood records" above). Congestion is
+  // charged exactly: each of the deg(v) directed slots carries one more
+  // message. So strict_congest aborts if this node sends anything else in
+  // the same round, before or after the flood, and a relaxed run's
+  // max_edge_load counts the flood on every slot. The strict check runs
+  // when the round's congestion window closes, before the next round
+  // starts, so plain sends pay nothing for it. A node without links sends
+  // nothing. Under worker lanes (threads > 1), a fault plan, the reliable
+  // transport or channels > 1 the call expands into per-link sends at
+  // staging, since those paths filter and account per message.
+  void broadcast(const Message& msg);
+
   // Flood form of send_words_on_link: one batched message on EVERY link.
   // The payload is written to the arena once and shared by all deg(v)
   // messages (each still charged its full word count in CostStats), so a
-  // frontier broadcast costs one memcpy instead of deg(v).
+  // frontier broadcast costs one memcpy instead of deg(v). Goes through
+  // broadcast(), so it stages one flood record per chunk where that can.
   void broadcast_words(std::uint32_t tag, std::span<const std::uint64_t> words,
                        std::uint8_t channel = 0);
 
@@ -154,7 +179,9 @@ class NodeContext {
   Scheduler* scheduler_ = nullptr;
 };
 
-// Staged outgoing message: recipient plus the Delivery it will see.
+// Staged outgoing message: recipient plus the Delivery it will see. A flood
+// record (NodeContext::broadcast) has to == kNoVertex and stands for one
+// Delivery{from, link edge, msg} per link of delivery.from.
 struct Pending {
   VertexId to;
   Delivery delivery;
@@ -300,6 +327,19 @@ class Scheduler {
 
   void enqueue_resolved(int lane, VertexId from, VertexId to, EdgeId edge,
                         std::uint32_t dir_slot, const Message& msg);
+  // Standard-message slots a `total`-word message takes from its edge's
+  // per-round budget: ceil(total / kMaxWords), and 1 for every standard
+  // message.
+  static std::uint32_t congestion_units(int total) {
+    return total <= kMaxWords
+               ? 1u
+               : static_cast<std::uint32_t>((total + kMaxWords - 1) /
+                                            kMaxWords);
+  }
+  // NodeContext::broadcast: one flood record in serial fault-free runs,
+  // per-link enqueue_resolved otherwise.
+  void broadcast(int lane, VertexId from, int link_base,
+                 std::span<const Incidence> links, const Message& msg);
   // Packs `words` (≤ kBatchChunkWords) into a Message — inline if they
   // fit, else one block of the lane's word arena; the shared packing step
   // of enqueue_words and broadcast_words.
@@ -319,6 +359,11 @@ class Scheduler {
   // Folds the per-edge loads of the last send window into max_edge_load and
   // resets them (single owner of the touched_edges_ bookkeeping).
   void flush_edge_loads();
+  // flush_edge_loads' first step in rounds that staged flood records: adds
+  // each sender's flood load to its directed slots, folds the result into
+  // max_edge_load (aborting under strict_congest if any slot exceeds 1) and
+  // resets flood_load_ / flooders_.
+  void fold_flood_loads();
   // Serial delivery: counting-sort scatter of stage_ into the arena; fills
   // inbox_start_/inbox_len_ for this round's recipients (current_mail_).
   void deliver_stage(int round);
@@ -397,6 +442,10 @@ class Scheduler {
   // direction, which flush_edge_loads folds idempotently).
   std::vector<std::uint32_t> edge_load_;  // indexed by 2*edge + direction
   std::vector<EdgeId> touched_edges_;
+  // Flood records' share of the window: per sender, the load its floods put
+  // on each of its directed slots, and the senders with a nonzero entry.
+  std::vector<std::uint32_t> flood_load_;
+  std::vector<VertexId> flooders_;
 
   // --- per-channel accounting (allocated only when options_.channels > 1;
   //     a single-channel run never touches any of this) ---

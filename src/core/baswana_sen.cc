@@ -102,7 +102,7 @@ BaswanaSenResult baswana_sen_spanner(const WeightedGraph& g,
   }
 
   BaswanaSenResult result;
-  result.spanner = dedupe_edge_ids(std::move(spanner));
+  result.spanner = dedupe_edge_ids(spanner, g.num_edges());
   // Cost per the O(k)-round distributed implementation cited in §5.
   result.cost.rounds = static_cast<std::uint64_t>(3 * k + 2);
   result.cost.messages =

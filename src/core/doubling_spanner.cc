@@ -434,7 +434,7 @@ DoublingSpannerResult build_doubling_spanner(
   }
   if (concurrent) flush_wave();  // scales left when the ladder ran out
 
-  result.spanner = dedupe_edge_ids(std::move(spanner));
+  result.spanner = dedupe_edge_ids(spanner, g.num_edges());
   api::deposit(ctx, result.ledger, "doubling-spanner");
   return result;
 }

@@ -95,7 +95,11 @@ ElkinNeimanResult elkin_neiman_spanner(const ClusterGraph& cg, int k,
       chosen.push_back(pick.second);
     }
   }
-  result.representative_edges = dedupe_edge_ids(std::move(chosen));
+  // The cluster graph does not know the size of the graph its
+  // representatives come from; the largest chosen id bounds the mask.
+  EdgeId id_bound = 0;
+  for (const EdgeId e : chosen) id_bound = std::max(id_bound, e + 1);
+  result.representative_edges = dedupe_edge_ids(chosen, id_bound);
   return result;
 }
 

@@ -400,7 +400,7 @@ LightSpannerResult build_light_spanner(const WeightedGraph& g,
     result.buckets.push_back(diag);
   }
 
-  result.spanner = dedupe_edge_ids(std::move(spanner));
+  result.spanner = dedupe_edge_ids(spanner, g.num_edges());
   api::deposit(ctx, result.ledger, "light-spanner");
   return result;
 }

@@ -222,7 +222,7 @@ SltResult build_slt(const WeightedGraph& g, VertexId rt, double epsilon,
     ++abp_count;
     h_edges.push_back(spt.tree.parent_edge[static_cast<size_t>(v)]);
   }
-  h_edges = dedupe_edge_ids(std::move(h_edges));
+  h_edges = dedupe_edge_ids(h_edges, g.num_edges());
   result.diag.abp_count = abp_count;
   Weight h_weight = 0.0;
   for (EdgeId id : h_edges) h_weight += g.edge(id).w;
@@ -275,7 +275,7 @@ SltResult build_slt_light(const WeightedGraph& g, VertexId rt, double gamma,
   // Final tree: approximate SPT (original weights) of base ∪ MST.
   std::vector<EdgeId> h_edges = base.tree_edges;
   h_edges.insert(h_edges.end(), mst_edges.begin(), mst_edges.end());
-  h_edges = dedupe_edge_ids(std::move(h_edges));
+  h_edges = dedupe_edge_ids(h_edges, g.num_edges());
 
   SltResult result;
   result.ledger.absorb(base.ledger, "bfn16-base");

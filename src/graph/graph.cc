@@ -323,10 +323,17 @@ std::vector<EdgeId> RootedTree::edge_ids() const {
   return ids;
 }
 
-std::vector<EdgeId> dedupe_edge_ids(std::vector<EdgeId> ids) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
+std::vector<EdgeId> dedupe_edge_ids(const std::vector<EdgeId>& ids,
+                                    int num_edges) {
+  std::vector<std::uint8_t> seen(static_cast<size_t>(num_edges), 0);
+  for (const EdgeId e : ids) {
+    LN_ASSERT_MSG(e >= 0 && e < num_edges, "edge id out of range");
+    seen[static_cast<size_t>(e)] = 1;
+  }
+  std::vector<EdgeId> out;
+  for (EdgeId e = 0; e < num_edges; ++e)
+    if (seen[static_cast<size_t>(e)] != 0) out.push_back(e);
+  return out;
 }
 
 }  // namespace lightnet

@@ -128,7 +128,9 @@ struct RootedTree {
 };
 
 // Deduplicates and sorts an edge-id set (spanners are unions of phases that
-// may propose the same edge twice).
-std::vector<EdgeId> dedupe_edge_ids(std::vector<EdgeId> ids);
+// may propose the same edge twice). Every id must lie in [0, num_edges);
+// a mask over that range makes this O(ids + num_edges), with no sort.
+std::vector<EdgeId> dedupe_edge_ids(const std::vector<EdgeId>& ids,
+                                    int num_edges);
 
 }  // namespace lightnet

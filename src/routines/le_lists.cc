@@ -101,8 +101,7 @@ class LeListProgram final : public NodeProgram {
       const Message msg(kTagLe,
                         {static_cast<std::uint64_t>(entry.source), entry.rank,
                          Message::encode_weight(entry.dist)});
-      const int degree = static_cast<int>(ctx.links().size());
-      for (int i = 0; i < degree; ++i) ctx.send_on_link(i, msg);
+      ctx.broadcast(msg);
     }
     if (pending_.empty()) finalize();
   }

@@ -142,8 +142,8 @@ TEST(BoundedBatched, CollectPathEdgesUnionMatchesExtractPath) {
     const std::vector<EdgeId> path = extract_path(r, nullptr, v, 0);
     reference.insert(reference.end(), path.begin(), path.end());
   }
-  EXPECT_EQ(dedupe_edge_ids(std::move(collected)),
-            dedupe_edge_ids(std::move(reference)));
+  EXPECT_EQ(dedupe_edge_ids(collected, g.num_edges()),
+            dedupe_edge_ids(reference, g.num_edges()));
 }
 
 TEST(BoundedBatched, DoublingSpannerIdenticalAcrossEncodings) {

@@ -161,8 +161,11 @@ TEST(RootedTree, EdgeIdsRoundTrip) {
 }
 
 TEST(DedupeEdgeIds, RemovesDuplicatesAndSorts) {
-  EXPECT_EQ(dedupe_edge_ids({3, 1, 3, 2, 1}), (std::vector<EdgeId>{1, 2, 3}));
-  EXPECT_TRUE(dedupe_edge_ids({}).empty());
+  EXPECT_EQ(dedupe_edge_ids({3, 1, 3, 2, 1}, 5),
+            (std::vector<EdgeId>{1, 2, 3}));
+  EXPECT_EQ(dedupe_edge_ids({4, 0, 4}, 5), (std::vector<EdgeId>{0, 4}));
+  EXPECT_TRUE(dedupe_edge_ids({}, 5).empty());
+  EXPECT_THROW(dedupe_edge_ids({5}, 5), std::logic_error);
 }
 
 TEST(WeightedGraph, ZooGraphsAreConnected) {

@@ -1,9 +1,13 @@
 // Tests for the scheduler's hot paths: active-set rounds vs. the full-sweep
-// reference, the O(1) send_on_link resolution, the wants_idle_rounds escape
-// hatch, and the flat-arena reuse guarantee.
+// reference, the O(1) send_on_link resolution, flood records
+// (NodeContext::broadcast) vs. send_on_link loops, the wants_idle_rounds
+// escape hatch, and the flat-arena reuse guarantee.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "congest/bellman_ford.h"
@@ -320,6 +324,285 @@ TEST(MessageArena, SteadyStateRunsWithoutPerRoundAllocations) {
   const auto relay = build_bfs_tree(path, 0);
   EXPECT_GT(relay.cost.rounds, 60u);
   EXPECT_LE(relay.cost.inbox_reallocs, 6u);
+}
+
+// --- Flood records: NodeContext::broadcast vs. a send_on_link loop ---
+
+// One delivery as its receiver saw it: (round, from, edge, tag, payload).
+using Seen = std::tuple<int, VertexId, EdgeId, std::uint32_t,
+                        std::vector<std::uint64_t>>;
+using InboxLog = std::vector<std::vector<Seen>>;  // per node, in order
+
+// Every node floods, sends on one link, or stays silent, by (self + round)
+// mod 3, for `rounds` rounds, so one round's stage mixes flood records with
+// individual sends. The flood goes through broadcast() or through the
+// equivalent send_on_link loop. With `mixed`, every fifth node also sends on
+// its first link right after flooding (a relaxed-mode load of 2 on that
+// slot). Payloads carry the inbox sum, so any change in what arrived changes
+// later messages too.
+class GossipProgram final : public NodeProgram {
+ public:
+  GossipProgram(VertexId self, bool use_broadcast, bool mixed, int rounds,
+                int channels, InboxLog& log)
+      : self_(self), use_broadcast_(use_broadcast), mixed_(mixed),
+        rounds_(rounds), channels_(channels), log_(log) {}
+
+  void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    round_ = ctx.round();
+    for (const Delivery& d : inbox) {
+      const auto words = ctx.payload(d.msg);
+      log_[static_cast<size_t>(self_)].emplace_back(
+          round_, d.from, d.edge, d.msg.tag,
+          std::vector<std::uint64_t>(words.begin(), words.end()));
+      for (std::uint64_t w : words) sum_ = sum_ * 31 + w;
+    }
+    if (round_ >= rounds_) return;
+    const int degree = static_cast<int>(ctx.links().size());
+    Message msg(1, {static_cast<std::uint64_t>(self_),
+                    static_cast<std::uint64_t>(round_), sum_});
+    msg.channel = static_cast<std::uint8_t>(round_ % channels_);
+    switch ((self_ + round_) % 3) {
+      case 0:
+        if (use_broadcast_) {
+          ctx.broadcast(msg);
+        } else {
+          for (int i = 0; i < degree; ++i) ctx.send_on_link(i, msg);
+        }
+        if (mixed_ && self_ % 5 == 0 && degree > 0)
+          ctx.send_on_link(0, Message(3, {sum_}));
+        break;
+      case 1:
+        if (degree > 0) {
+          msg.tag = 2;
+          ctx.send_on_link((self_ + round_) % degree, msg);
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  bool quiescent() const override { return round_ >= rounds_; }
+
+ private:
+  VertexId self_;
+  bool use_broadcast_;
+  bool mixed_;
+  int rounds_;
+  int channels_;
+  InboxLog& log_;
+  int round_ = -1;
+  std::uint64_t sum_ = 0;
+};
+
+struct GossipRun {
+  InboxLog log;
+  CostStats cost;
+};
+
+GossipRun run_gossip(const WeightedGraph& g, bool use_broadcast,
+                     SchedulerOptions options) {
+  const bool mixed = !options.strict_congest;
+  Network net(g);
+  GossipRun run;
+  run.log.resize(static_cast<size_t>(g.num_vertices()));
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    programs.push_back(std::make_unique<GossipProgram>(
+        v, use_broadcast, mixed, /*rounds=*/6, options.channels, run.log));
+  Scheduler sched(net, std::move(programs), options);
+  run.cost = sched.run();
+  return run;
+}
+
+// A path 0-1-2-3 plus vertex 4 with no links at all.
+WeightedGraph path_with_isolated_vertex() {
+  return WeightedGraph::from_edges(
+      5, {{0, 1, 1.0}, {1, 2, 2.0}, {2, 3, 1.5}});
+}
+
+std::vector<lightnet::testing::NamedGraph> flood_graphs() {
+  std::vector<lightnet::testing::NamedGraph> graphs = small_graph_zoo();
+  graphs.push_back({"isolated", path_with_isolated_vertex()});
+  graphs.push_back({"grid12x12", grid(12, 12, /*perturb=*/true, 31)});
+  return graphs;
+}
+
+void expect_same_gossip(const GossipRun& a, const GossipRun& b,
+                        const std::string& context) {
+  EXPECT_EQ(a.log, b.log) << context;
+  expect_same_model_cost(a.cost, b.cost, context);
+  EXPECT_EQ(a.cost.dropped, b.cost.dropped) << context;
+  ASSERT_EQ(a.cost.per_channel.size(), b.cost.per_channel.size()) << context;
+  for (size_t ch = 0; ch < a.cost.per_channel.size(); ++ch) {
+    EXPECT_EQ(a.cost.per_channel[ch].messages, b.cost.per_channel[ch].messages)
+        << context << " channel " << ch;
+    EXPECT_EQ(a.cost.per_channel[ch].words, b.cost.per_channel[ch].words)
+        << context << " channel " << ch;
+    EXPECT_EQ(a.cost.per_channel[ch].max_edge_load,
+              b.cost.per_channel[ch].max_edge_load)
+        << context << " channel " << ch;
+  }
+}
+
+TEST(FloodRecords, BroadcastMatchesSendOnLinkLoop) {
+  struct Mode {
+    const char* name;
+    SchedulerOptions options;
+  };
+  std::vector<Mode> modes;
+  modes.push_back({"serial", {}});
+  SchedulerOptions relaxed;
+  relaxed.strict_congest = false;
+  modes.push_back({"relaxed", relaxed});
+  SchedulerOptions sweep;
+  sweep.full_sweep = true;
+  modes.push_back({"full_sweep", sweep});
+  for (const int threads : {2, 4}) {
+    SchedulerOptions lanes;
+    lanes.threads = threads;
+    modes.push_back({threads == 2 ? "threads2" : "threads4", lanes});
+    lanes.strict_congest = false;
+    modes.push_back(
+        {threads == 2 ? "threads2_relaxed" : "threads4_relaxed", lanes});
+  }
+  SchedulerOptions faulty;
+  faulty.fault.seed = 5;
+  faulty.fault.drop = 0.2;
+  faulty.fault.reorder = true;
+  modes.push_back({"drop_reorder", faulty});
+  faulty.threads = 2;
+  modes.push_back({"drop_reorder_threads2", faulty});
+  SchedulerOptions channels;
+  channels.channels = 2;
+  modes.push_back({"channels2", channels});
+  channels.strict_congest = false;
+  modes.push_back({"channels2_relaxed", channels});
+
+  for (const auto& [gname, g] : flood_graphs()) {
+    // The serial fault-free flood records are the reference every other
+    // mode (and the per-link fallbacks inside broadcast) must reproduce.
+    const GossipRun serial_loop = run_gossip(g, false, {});
+    for (const Mode& mode : modes) {
+      const std::string context = gname + "/" + mode.name;
+      const GossipRun flood = run_gossip(g, true, mode.options);
+      const GossipRun loop = run_gossip(g, false, mode.options);
+      expect_same_gossip(flood, loop, context);
+      EXPECT_GT(flood.cost.messages, 0u) << context;
+      if (!mode.options.fault.enabled() && mode.options.channels == 1 &&
+          mode.options.strict_congest)
+        expect_same_gossip(flood, serial_loop, context + " vs serial");
+    }
+  }
+}
+
+// Runs `script` once at round 0 on every node of `g`.
+CostStats run_script(const WeightedGraph& g, bool strict,
+                     std::function<void(NodeContext&)> script) {
+  class ScriptProgram final : public NodeProgram {
+   public:
+    explicit ScriptProgram(std::function<void(NodeContext&)>& script)
+        : script_(script) {}
+    void on_round(NodeContext& ctx, std::span<const Delivery>) override {
+      if (ctx.round() == 0) script_(ctx);
+    }
+    bool quiescent() const override { return true; }
+
+   private:
+    std::function<void(NodeContext&)>& script_;
+  };
+  Network net(g);
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    programs.push_back(std::make_unique<ScriptProgram>(script));
+  SchedulerOptions options;
+  options.strict_congest = strict;
+  Scheduler sched(net, std::move(programs), options);
+  return sched.run();
+}
+
+TEST(FloodRecords, StrictModeRejectsAFloodSharingALink) {
+  const WeightedGraph g = path_graph(4, WeightLaw::kUnit, 1.0, 1);
+  const Message msg(1, {1});
+  // Flood, then a send on one of the flooded links.
+  EXPECT_THROW(run_script(g, true,
+                          [&](NodeContext& ctx) {
+                            if (ctx.self() != 1) return;
+                            ctx.broadcast(msg);
+                            ctx.send_on_link(1, msg);
+                          }),
+               std::logic_error);
+  // A send, then a flood over the same link.
+  EXPECT_THROW(run_script(g, true,
+                          [&](NodeContext& ctx) {
+                            if (ctx.self() != 1) return;
+                            ctx.send_on_link(1, msg);
+                            ctx.broadcast(msg);
+                          }),
+               std::logic_error);
+  // Two floods.
+  EXPECT_THROW(run_script(g, true,
+                          [&](NodeContext& ctx) {
+                            if (ctx.self() != 2) return;
+                            ctx.broadcast(msg);
+                            ctx.broadcast(msg);
+                          }),
+               std::logic_error);
+  // A flood of a message wider than the budget.
+  EXPECT_THROW(run_script(g, true,
+                          [&](NodeContext& ctx) {
+                            const std::uint64_t wide[] = {1, 2, 3, 4};
+                            if (ctx.self() == 0) ctx.broadcast_words(1, wide);
+                          }),
+               std::logic_error);
+}
+
+TEST(FloodRecords, StrictModeAcceptsFloodsInOppositeDirections) {
+  // Every node floods once: each directed slot carries one message.
+  const WeightedGraph g = path_graph(4, WeightLaw::kUnit, 1.0, 1);
+  const CostStats cost = run_script(g, true, [](NodeContext& ctx) {
+    ctx.broadcast(Message(1, {static_cast<std::uint64_t>(ctx.self())}));
+  });
+  EXPECT_EQ(cost.messages, 6u);
+  EXPECT_EQ(cost.max_edge_load, 1u);
+}
+
+TEST(FloodRecords, RelaxedModeChargesEveryFloodOnEverySlot) {
+  const WeightedGraph g = path_graph(4, WeightLaw::kUnit, 1.0, 1);
+  const Message msg(1, {1});
+  const auto two_floods = [&](NodeContext& ctx) {
+    if (ctx.self() != 2) return;
+    ctx.broadcast(msg);
+    ctx.broadcast(msg);
+  };
+  CostStats cost = run_script(g, false, two_floods);
+  EXPECT_EQ(cost.messages, 4u);
+  EXPECT_EQ(cost.max_edge_load, 2u);
+  // A flood plus a send on one link: that slot carries 2, in either order.
+  for (const bool flood_first : {true, false}) {
+    cost = run_script(g, false, [&](NodeContext& ctx) {
+      if (ctx.self() != 1) return;
+      if (flood_first) ctx.broadcast(msg);
+      ctx.send_on_link(0, msg);
+      if (!flood_first) ctx.broadcast(msg);
+    });
+    EXPECT_EQ(cost.messages, 3u) << flood_first;
+    EXPECT_EQ(cost.max_edge_load, 2u) << flood_first;
+  }
+}
+
+TEST(FloodRecords, IsolatedVertexFloodSendsNothing) {
+  const WeightedGraph g = path_with_isolated_vertex();
+  // Vertex 4 has no links: its floods are empty, so even two of them in
+  // strict mode stage nothing and break no budget.
+  const CostStats cost = run_script(g, true, [](NodeContext& ctx) {
+    if (ctx.self() != 4) return;
+    ctx.broadcast(Message(1, {4}));
+    ctx.broadcast(Message(1, {4}));
+  });
+  EXPECT_EQ(cost.messages, 0u);
+  EXPECT_EQ(cost.words, 0u);
+  EXPECT_EQ(cost.max_edge_load, 0u);
+  EXPECT_EQ(cost.rounds, 1u);
 }
 
 }  // namespace
